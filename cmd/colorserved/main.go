@@ -74,7 +74,15 @@ func run(ctx context.Context, args []string, w io.Writer, ready func(addr string
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: s.Handler()}
+	// Fixed connection timeouts: a slow client cannot pin a connection
+	// by trickling headers or idling between requests. No read or write
+	// deadline covers whole requests, since ?wait=1 views and metrics
+	// watches legitimately stay open for a job's lifetime.
+	httpSrv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	fmt.Fprintf(w, "colorserved: listening on %s (workers=%d queue=%d default-timeout=%s max-timeout=%s)\n",
 		ln.Addr(), *workers, *queue, *defaultTimeout, *maxTimeout)
 	if ready != nil {

@@ -33,10 +33,12 @@ func fiveC(t *testing.T, n int) *sim.Engine[core.FiveVal] {
 func TestFreeListPoisoningIsHarmless(t *testing.T) {
 	run := func(poison bool) Report {
 		opt := Options{SingletonsOnly: true}
-		x := newExplorer[core.FiveVal](opt)
+		var x *search[struct{}]
+		var inv InstanceInvariant
 		if poison {
-			x.inv = func(e *sim.Engine[core.FiveVal]) error {
-				for _, f := range x.free {
+			inv = func(sim.Instance) error {
+				for _, fi := range x.free {
+					f := sim.Unwrap[core.FiveVal](fi)
 					for p := 0; p < f.N(); p++ {
 						if f.Working(p) {
 							f.Step([]int{p})
@@ -50,7 +52,8 @@ func TestFreeListPoisoningIsHarmless(t *testing.T) {
 				return nil
 			}
 		}
-		x.dfs(fiveC(t, 4), 0)
+		x = newExplorer(opt, nil, inv)
+		x.run(sim.InstanceOf(fiveC(t, 4)))
 		return x.report
 	}
 	clean := run(false)
@@ -74,7 +77,7 @@ func TestWorkingSetRespectsCrashWrappers(t *testing.T) {
 	e.Crash(1)
 	e.CrashAfter(3, 1)
 	e.Step([]int{3}) // exhausts 3's limit: it crashes after this activation
-	w := workingSet(e)
+	w := workingSet(sim.InstanceOf(e))
 	want := []int{0, 2, 4}
 	if len(w) != len(want) {
 		t.Fatalf("working set %v, want %v", w, want)
@@ -114,11 +117,10 @@ func TestCrashScheduleEquivalence(t *testing.T) {
 	}
 
 	opt := Options{SingletonsOnly: true, StringFingerprints: true}
-	x := newExplorer[core.FiveVal](opt)
-	x.collectKeys = true
+	x := newExplorer(opt, nil, nil)
 	x.keys = make(map[stateKey]int)
 	x.terminalKeys = make(map[stateKey]struct{})
-	x.dfs(mkRoot(), 0)
+	x.run(sim.InstanceOf(mkRoot()))
 	if x.report.Truncated {
 		t.Fatalf("exploration truncated, equivalence vacuous: %v", x.report)
 	}
@@ -141,7 +143,7 @@ func TestCrashScheduleEquivalence(t *testing.T) {
 			t.Fatalf("run %d: initial configuration not visited", run)
 		}
 		for step := 0; step < 64; step++ {
-			w := workingSet(e)
+			w := workingSet(sim.InstanceOf(e))
 			if len(w) == 0 {
 				break
 			}

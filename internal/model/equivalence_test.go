@@ -1,12 +1,15 @@
 package model_test
 
 // Differential tests of the two fingerprint schemes (compact 128-bit hash
-// vs exact strings) and the two exploration strategies (serial DFS vs the
-// parallel first-level frontier): all four combinations must agree on the
-// exhaustive facts — state counts, terminal counts, cycle existence — on
-// real algorithm instances.
+// vs exact strings), the two exploration strategies (serial DFS vs the
+// parallel first-level frontier), in-RAM vs spilled visited sets, and the
+// typed vs type-erased entry points into the one traversal: all must agree
+// on the exhaustive facts — state counts, terminal counts, cycle existence
+// — on real algorithm instances.
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"asynccycle/internal/core"
@@ -14,6 +17,7 @@ import (
 	"asynccycle/internal/ids"
 	"asynccycle/internal/mis"
 	"asynccycle/internal/model"
+	"asynccycle/internal/protocol"
 	"asynccycle/internal/sim"
 )
 
@@ -151,5 +155,105 @@ func TestFairlyTerminatesHashVsString(t *testing.T) {
 	descS, repS := model.FairlyTerminates(mk(), model.Options{SingletonsOnly: true, StringFingerprints: true})
 	if (descH == "") != (descS == "") || repH.States != repS.States {
 		t.Errorf("hash (%q, %v) vs string (%q, %v)", descH, repH, descS, repS)
+	}
+}
+
+// TestExploreTypedVsInstance: Explore on a typed engine and ExploreInstance
+// on the same engine behind sim.InstanceOf produce identical reports,
+// violations and witnesses included.
+func TestExploreTypedVsInstance(t *testing.T) {
+	// Flag terminal states where processes 0 and 2 agree: plenty of
+	// violations, so witnesses and the violation list are compared too.
+	check := func(e interface {
+		AllDone() bool
+		Result() sim.Result
+	}) error {
+		if r := e.Result(); e.AllDone() && r.Outputs[0] == r.Outputs[2] {
+			return fmt.Errorf("outputs 0 and 2 agree on %d", r.Outputs[0])
+		}
+		return nil
+	}
+	rows := []struct {
+		alg  string
+		n    int
+		opt  model.Options
+		five bool
+	}{
+		{"five", 3, model.Options{SingletonsOnly: true}, true},
+		{"five", 4, model.Options{SingletonsOnly: true}, true},
+		{"five", 5, model.Options{SingletonsOnly: true}, true},
+		{"five", 4, model.Options{}, true},
+		{"fast", 3, model.Options{SingletonsOnly: true}, false},
+		{"fast", 4, model.Options{SingletonsOnly: true}, false},
+		{"fast", 5, model.Options{SingletonsOnly: true}, false},
+		{"fast", 5, model.Options{SingletonsOnly: true, MaxStates: 300}, false},
+	}
+	for _, row := range rows {
+		xs := ids.MustGenerate(ids.Increasing, row.n, 0)
+		var typed, erased model.Report
+		if row.five {
+			mk := func() *sim.Engine[core.FiveVal] {
+				e, err := sim.NewEngine(graph.MustCycle(row.n), core.NewFiveNodes(xs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			typed = model.Explore(mk(), row.opt, func(e *sim.Engine[core.FiveVal]) error { return check(e) })
+			erased = model.ExploreInstance(sim.InstanceOf(mk()), row.opt, func(i sim.Instance) error { return check(i) })
+		} else {
+			mk := func() *sim.Engine[core.FastVal] {
+				e, err := sim.NewEngine(graph.MustCycle(row.n), core.NewFastNodes(xs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			typed = model.Explore(mk(), row.opt, func(e *sim.Engine[core.FastVal]) error { return check(e) })
+			erased = model.ExploreInstance(sim.InstanceOf(mk()), row.opt, func(i sim.Instance) error { return check(i) })
+		}
+		if !reflect.DeepEqual(typed, erased) {
+			t.Errorf("%s C%d %+v: typed %v vs instance %v", row.alg, row.n, row.opt, typed, erased)
+		}
+	}
+}
+
+// TestDecoupledTablesAgree: the type-erased DECOUPLED engine gets the same
+// state tables and strategies as the typed engines; every variant agrees
+// on the depth-bounded state and terminal counts.
+func TestDecoupledTablesAgree(t *testing.T) {
+	d, err := protocol.Lookup("decoupled-three")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := []int{0, 1, 2, 3}
+	variants := []struct {
+		name string
+		opt  model.Options
+	}{
+		{"hashed", model.Options{}},
+		{"string", model.Options{StringFingerprints: true}},
+		{"workers=2", model.Options{Workers: 2}},
+		{"spill", model.Options{SpillDir: t.TempDir(), SpillMemLimit: 64}},
+	}
+	for depth := 2; depth <= 3; depth++ {
+		var base model.Report
+		for i, v := range variants {
+			v.opt.MaxDepth = depth
+			rep, err := d.Check(xs, sim.ModeInterleaved, v.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				base = rep
+				continue
+			}
+			if rep.States != base.States || rep.Terminal != base.Terminal || len(rep.Violations) != len(base.Violations) {
+				t.Errorf("C4 depth %d: %s %v vs hashed %v", depth, v.name, rep, base)
+			}
+		}
+		if base.States == 0 || !base.Truncated {
+			t.Errorf("C4 depth %d: hashed baseline %v is not a depth-cut exploration", depth, base)
+		}
 	}
 }

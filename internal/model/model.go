@@ -21,11 +21,8 @@ package model
 import (
 	"context"
 	"fmt"
-	"os"
-	"sync/atomic"
 
 	"asynccycle/internal/metrics"
-	"asynccycle/internal/ooc"
 	"asynccycle/internal/runctl"
 	"asynccycle/internal/sim"
 )
@@ -46,11 +43,12 @@ type Options struct {
 	SingletonsOnly bool
 	// MaxViolations caps recorded invariant-violation messages.
 	MaxViolations int
-	// Workers > 1 makes Explore shard the root's first-level activation
-	// subsets across that many workers, each running an independent DFS
-	// with a private visited set; the per-worker reports are merged by
-	// uniting their state-key sets, so States and Terminal match the serial
-	// counts exactly. Workers <= 1 (the default) keeps the serial DFS.
+	// Workers > 1 makes Explore and ExploreInstance shard the root's
+	// first-level activation subsets across that many workers, each
+	// running an independent DFS with a private visited set; the
+	// per-worker reports are merged by uniting their state-key sets, so
+	// States and Terminal match the serial counts exactly. Workers <= 1
+	// (the default) keeps the serial DFS; the other analyses are serial.
 	// In parallel mode MaxStates is one shared budget on the combined
 	// states explored across all workers (so a parallel run trips PARTIAL
 	// under the same budget a serial run would, instead of exploring up to
@@ -87,16 +85,19 @@ type Options struct {
 	// single worker's private table size).
 	Metrics *metrics.Run
 
-	// SpillDir, when non-empty, makes Explore's visited set out-of-core:
-	// once it outgrows SpillMemLimit resident fingerprints, sorted
-	// 128-bit fingerprint runs are spilled to a fresh subdirectory of
-	// SpillDir and membership is resolved against the on-disk runs (see
-	// internal/ooc). State identity is the full 128-bit fingerprint —
-	// exactly the in-RAM compact tables' identity — so States, Terminal,
-	// and WeightedStates are bit-identical to an in-RAM run. Ignored
-	// under StringFingerprints (exact string tables cannot spill) and
-	// with Workers > 1 (the parallel merge keeps key sets in RAM, so
-	// spilling the visited probes would not reduce the footprint).
+	// SpillDir, when non-empty, makes the visited set of Explore,
+	// ExploreInstance and ObstructionFree out-of-core: once it outgrows
+	// SpillMemLimit resident fingerprints, sorted 128-bit fingerprint runs
+	// are spilled to a fresh subdirectory of SpillDir and membership is
+	// resolved against the on-disk runs (see internal/ooc). State
+	// identity is the full 128-bit fingerprint — exactly the in-RAM
+	// compact tables' identity — so States, Terminal, and WeightedStates
+	// are bit-identical to an in-RAM run. Ignored under StringFingerprints
+	// (exact string tables cannot spill), with Workers > 1 (the parallel
+	// merge keeps key sets in RAM, so spilling the visited probes would
+	// not reduce the footprint), and by the analyses whose tables hold
+	// values rather than a set (WorstActivations, FairlyTerminates,
+	// CheckStabilization).
 	SpillDir string
 	// SpillMemLimit bounds resident visited fingerprints before a spill;
 	// <= 0 selects ooc.DefaultMemLimit. Only meaningful with SpillDir.
@@ -268,126 +269,10 @@ func (r Report) String() string {
 // record a violation. It must not mutate the engine.
 type Invariant[V any] func(e *sim.Engine[V]) error
 
-type explorer[V any] struct {
-	opt       Options
-	inv       Invariant[V]
-	canon     bool // key states by canonical (rotation-minimal) fingerprint
-	visited   *stateTable[struct{}]
-	onStack   *stateTable[struct{}]
-	path      [][]int    // activation sets from the root to the current state
-	pathFPs   []stateKey // keys of the states along the path
-	report    Report
-	interrupt bool             // context/deadline tripped: unwind without exploring
-	ck        *runctl.Checker  // nil when un-budgeted (zero polling cost)
-	met       *metrics.Run     // nil when observability is off
-	free      []*sim.Engine[V] // discarded branch engines, recycled by CloneInto
-
-	// spill, when non-nil, replaces the in-RAM visited table with the
-	// out-of-core fingerprint set (Options.SpillDir); spillDir is the
-	// per-explorer scratch directory removed on teardown. onStack stays
-	// in RAM: it is bounded by the path depth, not the state space.
-	spill    *ooc.Set
-	spillDir string
-
-	// sharedStates, when non-nil, is the run-wide explored-state counter
-	// the parallel frontier shares across workers so MaxStates is one
-	// budget for the whole run (serial exploration leaves it nil and
-	// budgets its own report.States). sharedVisited likewise accumulates
-	// total visited-table entries across workers for the VisitedSize
-	// gauge — the merged figure, not a per-worker table size.
-	sharedStates  *atomic.Int64
-	sharedVisited *atomic.Int64
-
-	// Key collection, enabled only by the parallel frontier so worker
-	// reports can be merged by set union (see parallel.go). The mapped
-	// value is the state's exact rotation-orbit size (always 1 when canon
-	// is off), so the merged WeightedStates stays exact under unions.
-	collectKeys  bool
-	keys         map[stateKey]int
-	terminalKeys map[stateKey]struct{}
-	vioKeys      []stateKey // state key of each recorded violation, aligned with report.Violations
-}
-
-func newExplorer[V any](opt Options) *explorer[V] {
-	return &explorer[V]{
-		opt:     opt.withDefaults(),
-		visited: newStateTable[struct{}](opt.StringFingerprints),
-		onStack: newStateTable[struct{}](opt.StringFingerprints),
-		ck:      runctl.NewChecker(opt.Context, opt.Budget.Timeout),
-		met:     opt.Metrics,
-	}
-}
-
-// key computes the configuration's identity under the chosen fingerprint
-// scheme. Note FingerprintHash128 uses engine-owned scratch: never key a
-// shared engine from concurrent workers.
-func (x *explorer[V]) key(e *sim.Engine[V]) stateKey {
-	if x.opt.StringFingerprints {
-		return stateKey{str: e.Fingerprint()}
-	}
-	h1, h2 := e.FingerprintHash128()
-	return stateKey{h1: h1, h2: h2}
-}
-
-// keyOrbit is key plus the state's exact rotation-orbit size; with canon
-// set the key is the canonical (rotation-minimal) fingerprint, so every
-// rotationally equivalent configuration lands on the same table slot.
-func (x *explorer[V]) keyOrbit(e *sim.Engine[V]) (stateKey, int) {
-	if !x.canon {
-		return x.key(e), 1
-	}
-	if x.opt.StringFingerprints {
-		fp, _, orbit := e.CanonicalFingerprintInfo()
-		return stateKey{str: fp}, orbit
-	}
-	h1, h2, _, orbit := e.CanonicalFingerprintHash128()
-	return stateKey{h1: h1, h2: h2}, orbit
-}
-
-// strFnFor returns the collision-resolution string matching the keying
-// scheme: canonical under canon, plain otherwise.
-func (x *explorer[V]) strFnFor(e *sim.Engine[V]) func() string {
-	if x.canon {
-		return func() string { return e.CanonicalFingerprint() }
-	}
-	return func() string { return e.Fingerprint() }
-}
-
-// clone copies e, recycling a previously released engine when available.
-func (x *explorer[V]) clone(e *sim.Engine[V]) *sim.Engine[V] {
-	if n := len(x.free); n > 0 {
-		dst := x.free[n-1]
-		x.free = x.free[:n-1]
-		return e.CloneInto(dst)
-	}
-	return e.Clone()
-}
-
-func (x *explorer[V]) release(e *sim.Engine[V]) { x.free = append(x.free, e) }
-
-// visitedSize is the figure the VisitedSize gauge publishes for the state
-// just inserted: the run-wide total across all workers when the parallel
-// frontier shares a counter, the spilled set's cardinality when out of
-// core, this explorer's own table size otherwise. Called once per visited
-// insertion.
-func (x *explorer[V]) visitedSize() int64 {
-	if x.sharedVisited != nil {
-		return x.sharedVisited.Add(1)
-	}
-	if x.spill != nil {
-		return x.spill.Len()
-	}
-	return int64(x.visited.length())
-}
-
-// copySteps deep-copies a schedule fragment.
-func copySteps(steps [][]int) [][]int {
-	out := make([][]int, len(steps))
-	for i, s := range steps {
-		out[i] = append([]int(nil), s...)
-	}
-	return out
-}
+// InstanceInvariant is a per-configuration safety check over a type-erased
+// protocol instance; return a non-nil error to record a violation. It must
+// not mutate the instance.
+type InstanceInvariant func(inst sim.Instance) error
 
 // Explore exhaustively runs every schedule of the given initial engine
 // within the option bounds, checking inv (which may be nil) at every
@@ -398,176 +283,52 @@ func copySteps(steps [][]int) [][]int {
 // whose counts cover exactly the states visited so far — always a
 // prefix-consistent subset of the full exploration.
 func Explore[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) Report {
+	return explore(sim.InstanceOf(root), opt, canonFor(root, opt), erase(inv))
+}
+
+// ExploreInstance is Explore for type-erased protocol instances — engines
+// that do not expose the typed *sim.Engine[V] surface, like the DECOUPLED
+// communication-layer engine. It runs the same traversal with the same
+// options (compact or string tables, Workers, SpillDir, budgets); only
+// symmetry reduction needs the typed engine, so Options.Symmetry is
+// ignored here.
+//
+// For models whose configuration includes a monotone global clock (the
+// DECOUPLED tick), the reachable graph is infinite and acyclic: bound the
+// search with Options.MaxDepth and expect Truncated reports — verdicts
+// then cover every schedule of at most MaxDepth steps.
+func ExploreInstance(root sim.Instance, opt Options, inv InstanceInvariant) Report {
+	return explore(root, opt, nil, inv)
+}
+
+func explore(root sim.Instance, opt Options, canon canonFn, inv InstanceInvariant) Report {
 	opt = opt.withDefaults()
 	opt, cancel := opt.withTimeout()
 	defer cancel()
 	if opt.Workers > 1 {
-		return exploreParallel(root, opt, inv)
+		return exploreParallel(root, opt, canon, inv)
 	}
-	x := newExplorer[V](opt)
-	x.inv = inv
-	x.canon = canonApplies(root, opt)
-	if x.canon {
-		x.report.Symmetry = SymmetryFull
+	s := newExplorer(opt, canon, inv)
+	if opt.SpillDir != "" && !opt.StringFingerprints && !s.spillTo(opt.SpillDir) {
+		return s.report
 	}
-	if opt.SpillDir != "" && !opt.StringFingerprints {
-		dir, err := os.MkdirTemp(opt.SpillDir, "spill-")
-		if err == nil {
-			var s *ooc.Set
-			if s, err = ooc.NewSet(dir, opt.SpillMemLimit); err == nil {
-				x.spill, x.spillDir = s, dir
-			} else {
-				os.RemoveAll(dir)
-			}
-		}
-		if err != nil {
-			// Out-of-core storage unavailable: refuse rather than silently
-			// falling back to an in-RAM table the caller asked to bound.
-			x.report.Truncated = true
-			x.report.noteStop(runctl.StopIO)
-			return x.report
-		}
-	}
-	x.dfs(root, 0)
-	if x.spill != nil {
-		x.spill.Close()
-		os.RemoveAll(x.spillDir)
-	}
-	x.report.HashCollisions = x.visited.hashCollisions() + x.onStack.hashCollisions()
-	if x.met != nil {
-		x.met.HashCollisions.Add(int64(x.report.HashCollisions))
-	}
-	return x.report
+	s.run(root)
+	return s.report
 }
 
-func (x *explorer[V]) dfs(e *sim.Engine[V], depth int) {
-	if x.interrupt {
-		return
-	}
-	if reason, stop := x.ck.Check(); stop {
-		// Context cancelled or deadline passed: unwind the whole stack
-		// without claiming further states; everything counted so far stays.
-		x.interrupt = true
-		x.report.Truncated = true
-		x.report.noteStop(reason)
-		return
-	}
-	if depth > x.report.DeepestPath {
-		x.report.DeepestPath = depth
-	}
-	k, orbit := x.keyOrbit(e)
-	strFn := x.strFnFor(e)
-	if _, on := x.onStack.get(k, strFn); on {
-		if !x.report.CycleFound {
-			x.report.CycleFound = true
-			// The repeated state sits somewhere along the current path;
-			// everything before it is the prefix, the rest is the loop.
-			start := 0
-			for i, pk := range x.pathFPs {
-				if pk == k {
-					start = i
-					break
-				}
+// newExplorer is a search with Explore's one hook: the invariant at every
+// state's first visit.
+func newExplorer(opt Options, canon canonFn, inv InstanceInvariant) *search[struct{}] {
+	s := newSearch[struct{}](opt, canon, true)
+	if inv != nil {
+		s.first = func(f frame[struct{}]) struct{} {
+			if err := inv(f.inst); err != nil {
+				s.violation(err, f.key)
 			}
-			x.report.CyclePrefix = copySteps(x.path[:start])
-			x.report.CycleLoop = copySteps(x.path[start:])
-		}
-		return
-	}
-	if x.spill != nil {
-		added, err := x.spill.Add(k.h1, k.h2)
-		if err != nil {
-			// The on-disk visited set is gone; membership answers from here
-			// on would be undefined, so unwind everything counted so far.
-			x.interrupt = true
-			x.report.Truncated = true
-			x.report.noteStop(runctl.StopIO)
-			return
-		}
-		if !added {
-			return
-		}
-	} else {
-		if _, seen := x.visited.get(k, strFn); seen {
-			return
-		}
-		x.visited.put(k, strFn, struct{}{})
-	}
-	x.report.States++
-	// budgetStates is the count the MaxStates budget below trips on: the
-	// run-wide total when workers share one budget, this explorer's own
-	// count otherwise.
-	budgetStates := x.report.States
-	if x.sharedStates != nil {
-		budgetStates = int(x.sharedStates.Add(1))
-	}
-	if x.canon {
-		x.report.WeightedStates += int64(orbit)
-	}
-	if x.collectKeys {
-		x.keys[k] = orbit
-	}
-	if x.met != nil {
-		x.met.States.Inc()
-		x.met.FrontierDepth.SetMax(int64(depth))
-		x.met.VisitedSize.SetMax(x.visitedSize())
-	}
-	if x.inv != nil {
-		if err := x.inv(e); err != nil {
-			if len(x.report.Violations) == 0 {
-				x.report.ViolationWitness = copySteps(x.path)
-			}
-			if len(x.report.Violations) < x.opt.MaxViolations {
-				x.report.Violations = append(x.report.Violations, err.Error())
-				if x.collectKeys {
-					x.vioKeys = append(x.vioKeys, k)
-				}
-			}
+			return struct{}{}
 		}
 	}
-	if e.AllDone() {
-		x.report.Terminal++
-		if x.met != nil {
-			x.met.Terminal.Inc()
-		}
-		if x.collectKeys {
-			x.terminalKeys[k] = struct{}{}
-		}
-		return
-	}
-	if depth >= x.opt.MaxDepth {
-		// Prune this branch but keep exploring siblings: depth bounds are a
-		// per-path horizon, not a global stop.
-		x.report.Truncated = true
-		x.report.noteStop(runctl.StopMaxDepth)
-		return
-	}
-	if budgetStates >= x.opt.MaxStates {
-		x.report.Truncated = true
-		x.report.noteStop(runctl.StopMaxStates)
-		return
-	}
-
-	working := workingSet(e)
-	if len(working) == 0 {
-		// All remaining processes crashed: nothing can evolve.
-		return
-	}
-	x.onStack.put(k, strFn, struct{}{})
-	x.pathFPs = append(x.pathFPs, k)
-	for _, subset := range subsets(working, x.opt.SingletonsOnly) {
-		child := x.clone(e)
-		child.Step(subset)
-		x.path = append(x.path, subset)
-		x.dfs(child, depth+1)
-		x.release(child)
-		x.path = x.path[:len(x.path)-1]
-		if x.interrupt {
-			break
-		}
-	}
-	x.pathFPs = x.pathFPs[:len(x.pathFPs)-1]
-	x.onStack.del(k, strFn)
+	return s
 }
 
 // WorstActivations computes, for each process, the exact maximum number of
@@ -579,178 +340,38 @@ func WorstActivations[V any](root *sim.Engine[V], opt Options) ([]int, bool, Rep
 	opt = opt.withDefaults()
 	opt, cancel := opt.withTimeout()
 	defer cancel()
-	w := &worst[V]{
-		opt:  opt,
-		memo: newStateTable[[]int](opt.StringFingerprints),
-		onSt: newStateTable[struct{}](opt.StringFingerprints),
-		zero: make([]int, root.N()),
-		ck:   runctl.NewChecker(opt.Context, opt.Budget.Timeout),
-		met:  opt.Metrics,
-	}
-	w.canon = canonApplies(root, opt)
-	if w.canon {
-		w.report.Symmetry = SymmetryFull
-		w.rotBuf = make([]int, root.N())
-	}
-	vec := w.dfs(root, 0)
-	if w.canon && vec != nil {
-		vec = append([]int(nil), vec...) // may alias the rotation scratch
-	}
-	w.report.HashCollisions = w.memo.hashCollisions() + w.onSt.hashCollisions()
-	ok := !w.report.CycleFound && !w.report.Truncated && !w.report.Partial
-	return vec, ok, w.report
-}
-
-type worst[V any] struct {
-	opt       Options
-	canon     bool // key states by canonical rotation-minimal fingerprint
-	memo      *stateTable[[]int]
-	onSt      *stateTable[struct{}]
-	report    Report
-	zero      []int // shared all-zeros vector; callers must not mutate results
-	rotBuf    []int // scratch for rotating memo vectors back into query frames
-	free      []*sim.Engine[V]
-	interrupt bool
-	ck        *runctl.Checker
-	met       *metrics.Run
-}
-
-func (w *worst[V]) key(e *sim.Engine[V]) stateKey {
-	if w.opt.StringFingerprints {
-		return stateKey{str: e.Fingerprint()}
-	}
-	h1, h2 := e.FingerprintHash128()
-	return stateKey{h1: h1, h2: h2}
-}
-
-// keyRot is key plus the rotation carrying this configuration into its
-// canonical frame (canonical-frame position j holds process (j+rot) mod n
-// of e) and the exact rotation-orbit size. Memo vectors are stored in the
-// canonical frame and rotated back into each query's own frame on
-// retrieval, so rotationally equivalent configurations share one memo
-// entry yet every caller sees its own process indexing.
-func (w *worst[V]) keyRot(e *sim.Engine[V]) (stateKey, int, int) {
-	if !w.canon {
-		return w.key(e), 0, 1
-	}
-	if w.opt.StringFingerprints {
-		fp, rot, orbit := e.CanonicalFingerprintInfo()
-		return stateKey{str: fp}, rot, orbit
-	}
-	h1, h2, rot, orbit := e.CanonicalFingerprintHash128()
-	return stateKey{h1: h1, h2: h2}, rot, orbit
-}
-
-// strFnFor mirrors explorer.strFnFor for the worst-case tables.
-func (w *worst[V]) strFnFor(e *sim.Engine[V]) func() string {
-	if w.canon {
-		return func() string { return e.CanonicalFingerprint() }
-	}
-	return func() string { return e.Fingerprint() }
-}
-
-// toCanon returns vec re-indexed into the canonical frame (freshly
-// allocated when a rotation is needed — the memo owns its vectors).
-func (w *worst[V]) toCanon(vec []int, rot int) []int {
-	if rot == 0 {
-		return vec
-	}
-	n := len(vec)
-	out := make([]int, n)
-	for j := 0; j < n; j++ {
-		out[j] = vec[(j+rot)%n]
-	}
-	return out
-}
-
-// fromCanon returns the canonical-frame vector v re-indexed into the frame
-// of a query with rotation rot. The result may alias w.rotBuf, which stays
-// valid until the next fromCanon call — callers consume it before
-// recursing.
-func (w *worst[V]) fromCanon(v []int, rot int) []int {
-	if rot == 0 {
-		return v
-	}
-	n := len(v)
-	for i := 0; i < n; i++ {
-		w.rotBuf[i] = v[((i-rot)%n+n)%n]
-	}
-	return w.rotBuf
-}
-
-func (w *worst[V]) clone(e *sim.Engine[V]) *sim.Engine[V] {
-	if n := len(w.free); n > 0 {
-		dst := w.free[n-1]
-		w.free = w.free[:n-1]
-		return e.CloneInto(dst)
-	}
-	return e.Clone()
-}
-
-func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
-	n := e.N()
-	if w.interrupt {
-		return w.zero
-	}
-	if reason, stop := w.ck.Check(); stop {
-		// An interrupted longest-path analysis cannot certify any supremum:
-		// mark the run partial and let every frame unwind with zeros.
-		w.interrupt = true
-		w.report.Truncated = true
-		w.report.noteStop(reason)
-		return w.zero
-	}
-	if depth > w.report.DeepestPath {
-		w.report.DeepestPath = depth
-	}
-	k, rot, orbit := w.keyRot(e)
-	strFn := w.strFnFor(e)
-	if _, on := w.onSt.get(k, strFn); on {
-		w.report.CycleFound = true
-		return w.zero
-	}
-	if v, ok := w.memo.get(k, strFn); ok {
-		return w.fromCanon(v, rot)
-	}
-	if e.AllDone() {
-		w.report.Terminal++
-		w.memo.put(k, strFn, w.zero)
-		if w.canon {
-			w.report.WeightedStates += int64(orbit)
+	n := root.N()
+	zero := make([]int, n) // shared by every leaf; never mutated
+	rotBuf := make([]int, n)
+	// Memo vectors are stored in the canonical frame, so rotationally
+	// equivalent configurations share one entry; fromCanon re-indexes one
+	// into the frame of a query with rotation rot. The result may alias
+	// rotBuf, valid until the next call.
+	fromCanon := func(v []int, rot int) []int {
+		if rot == 0 {
+			return v
 		}
-		if w.met != nil {
-			w.met.States.Inc()
-			w.met.Terminal.Inc()
+		for i := range rotBuf {
+			rotBuf[i] = v[((i-rot)%n+n)%n]
 		}
-		return w.zero
+		return rotBuf
 	}
-	if depth >= w.opt.MaxDepth {
-		w.report.Truncated = true
-		w.report.noteStop(runctl.StopMaxDepth)
-		return w.zero
-	}
-	if w.memo.length() >= w.opt.MaxStates {
-		w.report.Truncated = true
-		w.report.noteStop(runctl.StopMaxStates)
-		return w.zero
-	}
-	working := workingSet(e)
-	if len(working) == 0 {
-		w.memo.put(k, strFn, w.zero)
-		if w.canon {
-			w.report.WeightedStates += int64(orbit)
+	s := newSearch[[]int](opt, canonFor(root, opt), true)
+	s.post = true
+	s.first = func(f frame[[]int]) []int {
+		if f.inst.AllDone() {
+			return zero
 		}
-		return w.zero
+		return make([]int, n)
 	}
-	w.onSt.put(k, strFn, struct{}{})
-	best := make([]int, n)
-	for _, subset := range subsets(working, w.opt.SingletonsOnly) {
-		child := w.clone(e)
-		// performed is child's scratch, valid here because child takes no
-		// further step of its own (the recursion steps fresh clones).
-		performed := child.Step(subset)
-		sub := w.dfs(child, depth+1)
-		for p := 0; p < n; p++ {
+	s.edge = func(f frame[[]int], child []int, rot int, ok bool, performed []int) {
+		// A child cut off by a cycle or a stop contributes nothing beyond
+		// the step into it; the report already says the result is open.
+		sub := zero
+		if ok {
+			sub = fromCanon(child, rot)
+		}
+		for p := range f.val {
 			total := sub[p]
 			for _, q := range performed {
 				if q == p {
@@ -758,60 +379,26 @@ func (w *worst[V]) dfs(e *sim.Engine[V], depth int) []int {
 					break
 				}
 			}
-			if total > best[p] {
-				best[p] = total
+			if total > f.val[p] {
+				f.val[p] = total
 			}
 		}
-		w.free = append(w.free, child)
-		if w.interrupt {
-			break
+	}
+	s.leave = func(f frame[[]int]) []int {
+		if f.rot == 0 {
+			return f.val
 		}
-	}
-	w.onSt.del(k, strFn)
-	w.memo.put(k, strFn, w.toCanon(best, rot))
-	if w.canon {
-		w.report.WeightedStates += int64(orbit)
-	}
-	w.report.States = w.memo.length()
-	if w.met != nil {
-		w.met.States.Inc()
-		w.met.FrontierDepth.SetMax(int64(depth))
-		w.met.VisitedSize.SetMax(int64(w.memo.length()))
-	}
-	return best
-}
-
-// workingSet lists the processes still eligible for activation.
-func workingSet[V any](e *sim.Engine[V]) []int {
-	var out []int
-	for i := 0; i < e.N(); i++ {
-		if e.Working(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// subsets enumerates the allowed activation sets over the working
-// processes: all non-empty subsets, or singletons only.
-func subsets(working []int, singletonsOnly bool) [][]int {
-	if singletonsOnly {
-		out := make([][]int, len(working))
-		for i, p := range working {
-			out[i] = []int{p}
+		out := make([]int, n)
+		for j := range out {
+			out[j] = f.val[(j+f.rot)%n]
 		}
 		return out
 	}
-	w := len(working)
-	out := make([][]int, 0, (1<<w)-1)
-	for mask := 1; mask < 1<<w; mask++ {
-		var set []int
-		for i := 0; i < w; i++ {
-			if mask&(1<<i) != 0 {
-				set = append(set, working[i])
-			}
-		}
-		out = append(out, set)
+	v, rot, reached := s.run(sim.InstanceOf(root))
+	vec := zero
+	if reached {
+		vec = append([]int(nil), fromCanon(v, rot)...)
 	}
-	return out
+	rep := s.report
+	return vec, !rep.CycleFound && !rep.Truncated && !rep.Partial, rep
 }

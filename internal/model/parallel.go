@@ -9,10 +9,11 @@ import (
 	"asynccycle/internal/sim"
 )
 
-// exploreParallel is Explore's Workers > 1 strategy: the root configuration
-// is handled once here, then each of its first-level activation subsets is
-// explored by an independent worker DFS with a private visited set, fanned
-// out through par.Map (which preserves subset order in its results).
+// exploreParallel is the Workers > 1 strategy of Explore and
+// ExploreInstance: the root configuration is handled once here, then each
+// of its first-level activation subsets is explored by an independent
+// worker DFS with a private visited set, fanned out through par.Map (which
+// preserves subset order in its results).
 //
 // Because workers do not share visited sets, states reachable from several
 // first-level subsets are explored once per worker — duplicated wall-clock
@@ -26,35 +27,17 @@ import (
 // count across all workers (seeded with the root), so a parallel run
 // trips at the same global state count a serial run does instead of
 // letting every worker spend the full budget privately.
-func exploreParallel[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) Report {
+func exploreParallel(root sim.Instance, opt Options, canon canonFn, inv InstanceInvariant) Report {
 	rep := Report{States: 1}
 
-	// Key the root serially: FingerprintHash128 uses engine-owned scratch,
-	// and workers must not touch the shared root. The string form is also
-	// precomputed so collision fallbacks never race on root.Fingerprint.
-	// Under within-run symmetry reduction the root is keyed canonically,
-	// like every state the workers visit.
-	canon := canonApplies(root, opt)
-	var rootKey stateKey
-	rootOrbit := 1
-	switch {
-	case canon && opt.StringFingerprints:
-		var fp string
-		fp, _, rootOrbit = root.CanonicalFingerprintInfo()
-		rootKey = stateKey{str: fp}
-	case canon:
-		var h1, h2 uint64
-		h1, h2, _, rootOrbit = root.CanonicalFingerprintHash128()
-		rootKey = stateKey{h1: h1, h2: h2}
-	case opt.StringFingerprints:
-		rootKey = stateKey{str: root.Fingerprint()}
-	default:
-		h1, h2 := root.FingerprintHash128()
-		rootKey = stateKey{h1: h1, h2: h2}
-	}
-	rootStr := root.Fingerprint()
-	if canon {
-		rootStr = root.CanonicalFingerprint()
+	// Key the root serially: FingerprintHash128 may use instance-owned
+	// scratch, and workers must not touch the shared root. The string form
+	// is also precomputed so collision fallbacks never race on it. Under
+	// within-run symmetry reduction the root is keyed canonically, like
+	// every state the workers visit.
+	rootKey, _, rootOrbit := keyOf(root, canon, opt.StringFingerprints)
+	rootStr := exactOf(root, canon)
+	if canon != nil {
 		rep.Symmetry = SymmetryFull
 		rep.WeightedStates = int64(rootOrbit)
 	}
@@ -102,13 +85,10 @@ func exploreParallel[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) 
 	// first-level subsets, and each worker's own checker interrupts its DFS,
 	// so both in-flight and queued work stop promptly. Without a context the
 	// behavior (and the merged report) is identical to par.Map.
-	workers, done := par.MapCtx(opt.Context, opt.Workers, subs, ws, func(i int, subset []int) *explorer[V] {
-		x := newExplorer[V](opt)
-		x.inv = inv
-		x.canon = canon
+	workers, done := par.MapCtx(opt.Context, opt.Workers, subs, ws, func(i int, subset []int) *search[struct{}] {
+		x := newExplorer(opt, canon, inv)
 		x.sharedStates = &sharedStates
 		x.sharedVisited = &sharedVisited
-		x.collectKeys = true
 		x.keys = make(map[stateKey]int)
 		x.terminalKeys = make(map[stateKey]struct{})
 		// Pre-seed the path with the first-level step and keep the root on
@@ -117,10 +97,10 @@ func exploreParallel[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) 
 		// cycles through the root itself are detected.
 		x.onStack.put(rootKey, rootStrFn, struct{}{})
 		x.path = append(x.path, subset)
-		x.pathFPs = append(x.pathFPs, rootKey)
+		x.pathKeys = append(x.pathKeys, rootKey)
 		child := root.Clone()
 		child.Step(subset)
-		x.dfs(child, 1)
+		x.visit(child, 1)
 		return x
 	})
 
@@ -153,7 +133,7 @@ func exploreParallel[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) 
 		if r.DeepestPath > rep.DeepestPath {
 			rep.DeepestPath = r.DeepestPath
 		}
-		rep.HashCollisions += x.visited.hashCollisions() + x.onStack.hashCollisions()
+		rep.HashCollisions += x.collisions()
 		if r.CycleFound && !rep.CycleFound {
 			rep.CycleFound = true
 			rep.CyclePrefix = r.CyclePrefix
@@ -175,7 +155,7 @@ func exploreParallel[V any](root *sim.Engine[V], opt Options, inv Invariant[V]) 
 	}
 	rep.States = len(keys)
 	rep.Terminal = len(terminals)
-	if canon {
+	if canon != nil {
 		rep.WeightedStates = 0
 		for _, orbit := range keys {
 			rep.WeightedStates += int64(orbit)

@@ -18,20 +18,14 @@ import (
 // ObstructionFree checks that from every reachable configuration, every
 // working process that runs solo terminates within soloBound of its own
 // steps. It returns a counterexample description ("" when the property
-// holds) and the exploration report.
+// holds) and the exploration report. Solo-run termination is a
+// rotation-invariant property (the solo clone of position p in one
+// configuration behaves as the solo clone of the rotated position in its
+// rotation image), so under SymmetryFull checking one orbit representative
+// covers the orbit.
 func ObstructionFree[V any](root *sim.Engine[V], opt Options, soloBound int) (string, Report) {
-	opt = opt.withDefaults()
-	x := newExplorer[V](opt)
-	// Solo-run termination is a rotation-invariant property (the solo
-	// clone of position p in one configuration behaves as the solo clone
-	// of the rotated position in its rotation image), so checking one
-	// orbit representative covers the orbit.
-	x.canon = canonApplies(root, opt)
-	if x.canon {
-		x.report.Symmetry = SymmetryFull
-	}
 	counterexample := ""
-	x.inv = func(e *sim.Engine[V]) error {
+	inv := func(e *sim.Engine[V]) error {
 		if counterexample != "" {
 			return nil
 		}
@@ -56,29 +50,24 @@ func ObstructionFree[V any](root *sim.Engine[V], opt Options, soloBound int) (st
 		}
 		return nil
 	}
-	x.dfs(root, 0)
-	x.report.HashCollisions = x.visited.hashCollisions() + x.onStack.hashCollisions()
-	return counterexample, x.report
+	opt.Workers = 0 // inv records into one shared variable
+	rep := Explore(root, opt, inv)
+	return counterexample, rep
 }
 
 // stateGraph is the explicit reachable configuration graph used by the
-// fair-termination analysis. State identity uses the same compact-
-// fingerprint table as the explorer (exact string keys under
-// Options.StringFingerprints). With canon set, states are rotation orbits:
-// working sets and edge activation sets are stored in each state's
-// canonical frame, and every edge records the frame shift into its target
-// — enough to expand the quotient back into the full rotation closure for
-// the fairness analysis (see liftQuotient).
+// fair-termination and stabilization analyses, with node ids in
+// first-visit order. With canon set, states are rotation orbits: working
+// sets and edge activation sets are stored in each state's canonical
+// frame, and every edge records the frame shift into its target — enough
+// to expand the quotient back into the full rotation closure for the
+// fairness analysis (see liftQuotient).
 type stateGraph struct {
-	ids       *stateTable[int]
-	useStr    bool
-	canon     bool
-	n         int      // processes; frame arithmetic under canon
-	edges     [][]edge // adjacency: edges[s] lists transitions out of s
-	working   [][]int  // working processes per state (canonical frame under canon)
-	orbit     []int    // exact rotation-orbit size per state (canon only)
-	terminal  []bool
-	truncated bool
+	canon    bool
+	n        int      // processes; frame arithmetic under canon
+	edges    [][]edge // adjacency: edges[s] lists transitions out of s
+	working  [][]int  // working processes per state (canonical frame under canon)
+	terminal []bool
 
 	// Legality analysis (stabilization checking only; empty otherwise):
 	// legal[s] records whether state s is legitimate, illegalWhy[s] the
@@ -122,28 +111,7 @@ func rotateSet(ps []int, by, n int) []int {
 // starvation-free on this instance), or a description of the offending
 // component, plus the exploration report.
 func FairlyTerminates[V any](root *sim.Engine[V], opt Options) (string, Report) {
-	opt = opt.withDefaults()
-	g := &stateGraph{
-		ids:    newStateTable[int](opt.StringFingerprints),
-		useStr: opt.StringFingerprints,
-		canon:  canonApplies(root, opt),
-		n:      root.N(),
-	}
-	rep := Report{}
-	if g.canon {
-		rep.Symmetry = SymmetryFull
-	}
-	buildStateGraph(root, opt, g, &rep, 0, nil)
-	rep.States = len(g.edges)
-	rep.HashCollisions = g.ids.hashCollisions()
-	if g.truncated {
-		rep.Truncated = true
-	}
-	if g.canon {
-		for _, o := range g.orbit {
-			rep.WeightedStates += int64(o)
-		}
-	}
+	g, rep := buildStateGraph(sim.InstanceOf(root), opt, canonFor(root, opt), nil)
 
 	// Fairness is a property of process identities along infinite runs, so
 	// the SCC analysis needs consistent identities across each component:
@@ -152,12 +120,11 @@ func FairlyTerminates[V any](root *sim.Engine[V], opt Options) (string, Report) 
 	// Every SCC of the closure lies inside one rotated copy of the
 	// reachable graph — copies are successor-closed — so a fair livelock
 	// exists in the closure exactly when one exists in the unreduced graph.
-	ag := g
 	if g.canon {
-		ag = liftQuotient(g)
+		g = liftQuotient(g)
 	}
-	for _, scc := range tarjanSCC(ag) {
-		if desc := fairLivelock(ag, scc); desc != "" {
+	for _, scc := range tarjanSCC(g) {
+		if desc := fairLivelock(g, scc); desc != "" {
 			rep.CycleFound = true
 			return desc, rep
 		}
@@ -194,93 +161,60 @@ func liftQuotient(g *stateGraph) *stateGraph {
 	return lift
 }
 
-// buildStateGraph interns e's configuration (or its rotation orbit, under
-// canon) and recursively explores its successors. It returns the state id
-// and the rotation carrying e into the state's canonical frame (0 when
-// unreduced) — callers use the rotation to express edge data frame-
-// consistently. A non-nil legal predicate turns on the legality analysis
-// (stabilization checking): every interned state records whether it is
-// legitimate and, when not, the first violation message. legal must not
-// be combined with canon — legitimacy need not be rotation-invariant
+// buildStateGraph runs the traversal with state-graph hooks: each state
+// becomes a node on its first visit and each step an edge, recorded in
+// the source's canonical frame under canon. A non-nil legal turns on the
+// legality analysis (stabilization checking): every node records whether
+// it is legitimate and, when not, the first violation message. legal must
+// not be combined with canon — legitimacy need not be rotation-invariant
 // (stabilizing protocols may distinguish a root process).
-func buildStateGraph[V any](e *sim.Engine[V], opt Options, g *stateGraph, rep *Report, depth int, legal func(*sim.Engine[V]) error) (int, int) {
-	var k stateKey
-	rot, orbit := 0, 1
-	switch {
-	case g.canon && g.useStr:
-		var fp string
-		fp, rot, orbit = e.CanonicalFingerprintInfo()
-		k = stateKey{str: fp}
-	case g.canon:
-		var h1, h2 uint64
-		h1, h2, rot, orbit = e.CanonicalFingerprintHash128()
-		k = stateKey{h1: h1, h2: h2}
-	case g.useStr:
-		k = stateKey{str: e.Fingerprint()}
-	default:
-		h1, h2 := e.FingerprintHash128()
-		k = stateKey{h1: h1, h2: h2}
-	}
-	strFn := func() string {
+func buildStateGraph(root sim.Instance, opt Options, canon canonFn, legal InstanceInvariant) (*stateGraph, Report) {
+	opt = opt.withDefaults()
+	opt, cancel := opt.withTimeout()
+	defer cancel()
+	g := &stateGraph{canon: canon != nil, n: root.N()}
+	s := newSearch[int](opt, canon, false)
+	deepest := 0
+	s.first = func(f frame[int]) int {
+		working := workingSet(f.inst)
 		if g.canon {
-			return e.CanonicalFingerprint()
+			// Position j of the canonical frame is process (j+rot), so
+			// process p sits at canonical position p-rot.
+			working = rotateSet(working, -f.rot, g.n)
 		}
-		return e.Fingerprint()
-	}
-	if id, ok := g.ids.get(k, strFn); ok {
-		return id, rot
-	}
-	id := len(g.edges)
-	g.ids.put(k, strFn, id)
-	working := workingSet(e)
-	g.edges = append(g.edges, nil)
-	if g.canon {
-		// Store the working set in the canonical frame (position j of the
-		// canonical frame is process (j+rot) of e, so e's process p sits at
-		// canonical position p-rot).
-		g.working = append(g.working, rotateSet(working, -rot, g.n))
-		g.orbit = append(g.orbit, orbit)
-	} else {
+		g.edges = append(g.edges, nil)
 		g.working = append(g.working, working)
-	}
-	g.terminal = append(g.terminal, e.AllDone())
-	if legal != nil {
-		err := legal(e)
-		g.legal = append(g.legal, err == nil)
-		why := ""
-		if err != nil {
-			why = err.Error()
+		g.terminal = append(g.terminal, f.inst.AllDone())
+		if legal != nil {
+			err := legal(f.inst)
+			why := ""
+			if err != nil {
+				why = err.Error()
+			}
+			g.legal = append(g.legal, err == nil)
+			g.illegalWhy = append(g.illegalWhy, why)
 		}
-		g.illegalWhy = append(g.illegalWhy, why)
+		deepest = max(deepest, f.depth)
+		return len(g.edges) - 1
 	}
-	if depth > rep.DeepestPath {
-		rep.DeepestPath = depth
-	}
-	if e.AllDone() {
-		rep.Terminal++
-		return id, rot
-	}
-	if depth >= opt.MaxDepth || len(g.edges) >= opt.MaxStates {
-		g.truncated = true
-		return id, rot
-	}
-	if len(working) == 0 {
-		return id, rot
-	}
-	for _, subset := range subsets(working, opt.SingletonsOnly) {
-		child := e.Clone()
-		// Step's result is child-owned scratch; the edge outlives the
-		// child, so it keeps a copy.
-		performed := append([]int(nil), child.Step(subset)...)
-		to, childRot := buildStateGraph(child, opt, g, rep, depth+1, legal)
-		ed := edge{to: to, activated: performed}
+	s.edge = func(f frame[int], to, rot int, ok bool, performed []int) {
+		if !ok {
+			return // a stop cut the target off before it became a node
+		}
+		ed := edge{to: to}
 		if g.canon {
-			ed.activated = rotateSet(performed, -rot, g.n)
-			ed.shift = ((childRot-rot)%g.n + g.n) % g.n
+			ed.activated = rotateSet(performed, -f.rot, g.n)
+			ed.shift = ((rot-f.rot)%g.n + g.n) % g.n
+		} else {
+			ed.activated = append([]int(nil), performed...)
 		}
-		g.edges[id] = append(g.edges[id], ed)
+		g.edges[f.val] = append(g.edges[f.val], ed)
 	}
-	return id, rot
+	s.run(root)
+	// A state graph reports the deepest first visit, not the deepest
+	// arrival: revisits only add edges.
+	s.report.DeepestPath = deepest
+	return g, s.report
 }
 
 // fairLivelock reports whether the given SCC constitutes a fair
@@ -308,8 +242,7 @@ func fairLivelock(g *stateGraph, scc []int) string {
 	// Processes working in *every* state of the component are the ones a
 	// fair schedule must keep activating.
 	alwaysWorking := map[int]bool{}
-	for i, p := range g.working[scc[0]] {
-		_ = i
+	for _, p := range g.working[scc[0]] {
 		alwaysWorking[p] = true
 	}
 	for _, s := range scc[1:] {

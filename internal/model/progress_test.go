@@ -1,11 +1,15 @@
 package model_test
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"asynccycle/internal/model"
+	"asynccycle/internal/runctl"
 	"asynccycle/internal/sim"
+	"asynccycle/internal/ssuni"
 )
 
 // gateNode terminates only after seeing a neighbor's register present — so
@@ -126,5 +130,73 @@ func TestUnfairOnlyLivelockDistinguished(t *testing.T) {
 	desc, _ := model.FairlyTerminates(engineWith(t, nodes2), model.Options{SingletonsOnly: true})
 	if desc != "" {
 		t.Fatalf("livelock should be unfair-only, found: %s", desc)
+	}
+}
+
+// ssuniZeros is the self-stabilizing coloring on C_n from the all-zero
+// start; unbudgeted, its state graph on C7 takes seconds to build.
+func ssuniZeros(t *testing.T, n int) *sim.Engine[int] {
+	t.Helper()
+	e, err := ssuni.NewEngine(make([]int, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestStateGraphAnalysesStop: the state-graph analyses poll the context
+// and the budget like every other traversal, returning promptly with a
+// PARTIAL report that names the stop.
+func TestStateGraphAnalysesStop(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	stops := []struct {
+		name string
+		opt  model.Options
+		want runctl.StopReason
+	}{
+		{"cancelled", model.Options{Context: cancelled}, runctl.StopCancelled},
+		{"timeout", model.Options{Budget: runctl.Budget{Timeout: 5 * time.Millisecond}}, runctl.StopTimeout},
+	}
+	analyses := []struct {
+		name string
+		run  func(model.Options) model.Report
+	}{
+		{"stabilization", func(o model.Options) model.Report {
+			return model.CheckStabilization(ssuniZeros(t, 7), o, ssuni.Legal).Explore
+		}},
+		{"fair-termination", func(o model.Options) model.Report {
+			_, rep := model.FairlyTerminates(ssuniZeros(t, 7), o)
+			return rep
+		}},
+	}
+	for _, st := range stops {
+		for _, a := range analyses {
+			start := time.Now()
+			rep := a.run(st.opt)
+			if took := time.Since(start); took > 2*time.Second {
+				t.Errorf("%s %s: took %s to stop", a.name, st.name, took)
+			}
+			if !rep.Partial || rep.StopReason != st.want || !rep.Truncated {
+				t.Errorf("%s %s: want truncated PARTIAL(%s), got %s", a.name, st.name, st.want, rep)
+			}
+		}
+	}
+}
+
+// TestStateGraphMaxStatesIsPartial: a MaxStates cut marks the state-graph
+// reports PARTIAL, in both summary forms.
+func TestStateGraphMaxStatesIsPartial(t *testing.T) {
+	opt := model.Options{MaxStates: 100}
+	sr := model.CheckStabilization(ssuniZeros(t, 5), opt, ssuni.Legal)
+	if !strings.Contains(sr.String(), "[PARTIAL: max-states]") || !strings.Contains(sr.Explore.String(), "[PARTIAL: max-states]") {
+		t.Errorf("stabilization cut by MaxStates: %s / %s", sr, sr.Explore)
+	}
+	if sr.OK() {
+		t.Error("a cut stabilization check claimed a certificate")
+	}
+	_, rep := model.FairlyTerminates(ssuniZeros(t, 5), opt)
+	if !strings.Contains(rep.String(), "[PARTIAL: max-states]") {
+		t.Errorf("fair termination cut by MaxStates: %s", rep)
 	}
 }

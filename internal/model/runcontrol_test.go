@@ -33,11 +33,10 @@ func c5Pair(t *testing.T) *sim.Engine[core.PairVal] {
 // exploreKeys runs the serial DFS with key collection on, returning the
 // report and the exact set of visited state keys.
 func exploreKeys(root *sim.Engine[core.PairVal], opt Options) (Report, map[stateKey]int) {
-	x := newExplorer[core.PairVal](opt)
-	x.collectKeys = true
+	x := newExplorer(opt, nil, nil)
 	x.keys = make(map[stateKey]int)
 	x.terminalKeys = make(map[stateKey]struct{})
-	x.dfs(root, 0)
+	x.run(sim.InstanceOf(root))
 	return x.report, x.keys
 }
 
@@ -59,17 +58,16 @@ func TestCancelledExploreIsPrefixConsistent(t *testing.T) {
 	}
 	popt := opt
 	popt.Context = ctx
-	x := newExplorer[core.PairVal](popt)
-	x.collectKeys = true
-	x.keys = make(map[stateKey]int)
-	x.terminalKeys = make(map[stateKey]struct{})
-	x.inv = func(e *sim.Engine[core.PairVal]) error {
+	var x *search[struct{}]
+	x = newExplorer(popt, nil, func(sim.Instance) error {
 		if x.report.States == cut {
 			cancel()
 		}
 		return nil
-	}
-	x.dfs(c5Pair(t), 0)
+	})
+	x.keys = make(map[stateKey]int)
+	x.terminalKeys = make(map[stateKey]struct{})
+	x.run(sim.InstanceOf(c5Pair(t)))
 	partial := x.report
 
 	if !partial.Partial {

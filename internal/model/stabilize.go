@@ -55,10 +55,15 @@ func (r StabReport) Converges() bool { return r.LivelockWitness == "" }
 // hold and the exploration was not truncated.
 func (r StabReport) OK() bool { return r.Closed() && r.Converges() && !r.Explore.Truncated }
 
-// String renders a one-line summary.
+// String renders a one-line summary; a stopped run carries the same
+// [PARTIAL: reason] marker as Report.String.
 func (r StabReport) String() string {
-	return fmt.Sprintf("stabilization states=%d legit=%d illegit=%d closed=%t converges=%t truncated=%t",
+	s := fmt.Sprintf("stabilization states=%d legit=%d illegit=%d closed=%t converges=%t truncated=%t",
 		r.Explore.States, r.Legitimate, r.Illegitimate, r.Closed(), r.Converges(), r.Explore.Truncated)
+	if r.Explore.Partial {
+		s += fmt.Sprintf(" [PARTIAL: %s]", r.Explore.StopReason)
+	}
+	return s
 }
 
 // CheckStabilization explores the reachable configuration graph from root
@@ -69,18 +74,7 @@ func (r StabReport) String() string {
 // small by design.
 func CheckStabilization[V any](root *sim.Engine[V], opt Options, legal func(e *sim.Engine[V]) error) StabReport {
 	opt = opt.withDefaults()
-	g := &stateGraph{
-		ids:    newStateTable[int](opt.StringFingerprints),
-		useStr: opt.StringFingerprints,
-		n:      root.N(),
-	}
-	rep := Report{}
-	buildStateGraph(root, opt, g, &rep, 0, legal)
-	rep.States = len(g.edges)
-	rep.HashCollisions = g.ids.hashCollisions()
-	if g.truncated {
-		rep.Truncated = true
-	}
+	g, rep := buildStateGraph(sim.InstanceOf(root), opt, nil, erase(Invariant[V](legal)))
 
 	out := StabReport{}
 	for _, ok := range g.legal {

@@ -190,6 +190,13 @@ func registerSSUni() {
 				if !sr.OK() {
 					rep.AllOk = false
 				}
+				if sr.Explore.Partial {
+					// A budget or the context cut this start short: the sweep
+					// stops here, its counts covering the starts processed.
+					rep.Partial = true
+					rep.StopReason = sr.Explore.StopReason
+					break
+				}
 				// Next color vector in [0,K)^n, lexicographic.
 				i := 0
 				for ; i < n; i++ {

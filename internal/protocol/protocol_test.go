@@ -203,3 +203,26 @@ func TestDecoupledCheckDepthBounded(t *testing.T) {
 		t.Errorf("C3 depth-6 subset exploration states = %d, want 3899 (determinism pin)", rep.States)
 	}
 }
+
+// TestSSUniSweepCarriesPartial: a start whose stabilization check a budget
+// cut short makes the whole sweep PARTIAL with that stop reason, and the
+// sweep stops there instead of reporting a merely not-ok certificate.
+func TestSSUniSweepCarriesPartial(t *testing.T) {
+	d, err := Lookup("ssuni")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := d.Sweep(4, sim.ModeInterleaved, model.Options{MaxStates: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Partial || rep.StopReason != runctl.StopMaxStates || rep.AllOk {
+		t.Fatalf("budgeted sweep not PARTIAL(max-states): %s", rep)
+	}
+	if rep.Runs != 1 {
+		t.Fatalf("sweep went on after a cut start: runs=%d", rep.Runs)
+	}
+	if !strings.Contains(rep.String(), "[PARTIAL: max-states]") {
+		t.Fatalf("summary lacks the PARTIAL marker: %s", rep)
+	}
+}

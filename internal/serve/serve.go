@@ -20,9 +20,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -218,28 +220,35 @@ func (s *Server) Submit(spec JobSpec) (*job, error) {
 	}
 
 	s.acceptMu.RLock()
+	defer s.acceptMu.RUnlock()
 	if s.draining {
-		s.acceptMu.RUnlock()
 		return nil, ErrDraining
 	}
+	// Register the job before the queue can hand it to a worker, which may
+	// finish it at once: the WaitGroup count, the id and the table entry
+	// must already be in place. s.mu is held across the non-blocking send,
+	// so a shed job's registration is undone before any other submission
+	// takes an id, and accepted ids stay consecutive.
+	s.mu.Lock()
+	s.jobWG.Add(1)
+	s.seq++
+	j.id = fmt.Sprintf("j%06d", s.seq)
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
 	select {
 	case s.queue <- j:
-		s.jobWG.Add(1)
+		s.mu.Unlock()
 	default:
-		s.acceptMu.RUnlock()
+		delete(s.jobs, j.id)
+		s.order = s.order[:len(s.order)-1]
+		s.seq--
+		s.mu.Unlock()
+		s.jobWG.Done()
 		s.stats.Lock()
 		s.stats.shed++
 		s.stats.Unlock()
 		return nil, ErrQueueFull
 	}
-	s.acceptMu.RUnlock()
-
-	s.mu.Lock()
-	s.seq++
-	j.id = fmt.Sprintf("j%06d", s.seq)
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
 	s.stats.Lock()
 	s.stats.accepted++
 	s.stats.Unlock()
@@ -392,9 +401,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
+// maxJobBody caps a POST /jobs body; job specs are a few hundred bytes.
+const maxJobBody = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJobBody))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("job spec over %d bytes", maxJobBody))
+		} else {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("reading job spec: %w", err))
+		}
+		return
+	}
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
